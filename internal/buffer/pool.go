@@ -45,8 +45,9 @@ type frame struct {
 	stamp uint64
 }
 
-// Pool is a local LRU page cache. All access goes through Get/Mutate under
-// the pool lock; DRAM access cost is charged per touch.
+// Pool is a local LRU page cache. All access goes through View/Lookup (and
+// their copying wrappers Peek/Get) or Mutate under the pool lock; DRAM
+// access cost is charged per touch.
 type Pool struct {
 	cfg       *sim.Config
 	capacity  int
@@ -208,34 +209,70 @@ func (p *Pool) evictIfFullLocked(c *sim.Clock) error {
 	return nil
 }
 
-// Get returns a copy of the page bytes, fetching on miss.
-func (p *Pool) Get(c *sim.Clock, id page.ID) ([]byte, error) {
+// View runs fn on the bytes of a fresh cached copy of the page, if one is
+// cached, and reports whether it was. A miss (absent, or stale under the
+// coherence directory) has no fetch side effects and is counted as a
+// probe, not a demand miss. fn runs under the pool lock on the frame
+// itself: it must not modify or retain the bytes. fn's error is returned.
+func (p *Pool) View(c *sim.Clock, id page.ID, fn func(data []byte) error) (bool, error) {
+	return p.access(c, id, true, false, fn)
+}
+
+// Lookup runs fn on the page's bytes, fetching the page on miss, and
+// reports whether the page was served from the cache. It is View followed
+// by a load on miss, under one lock acquisition: counters (a miss counts
+// as a probe miss and a demand miss) and virtual-clock charges are those
+// of Peek followed by Get. fn must not modify or retain the bytes.
+func (p *Pool) Lookup(c *sim.Clock, id page.ID, fn func(data []byte) error) (hit bool, err error) {
+	return p.access(c, id, true, true, fn)
+}
+
+// access is the pool's one read path. probe first tries a validated hit
+// without loading; load fetches on miss. A served page is charged one DRAM
+// touch and handed to fn under the lock; hit reports a probe hit.
+func (p *Pool) access(c *sim.Clock, id page.ID, probe, load bool, fn func([]byte) error) (hit bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f, err := p.locked(c, id, true)
-	if err != nil {
-		return nil, err
+	var f *frame
+	if probe {
+		f, _ = p.locked(c, id, false)
+		hit = f != nil
+	}
+	if f == nil && load {
+		if f, err = p.locked(c, id, true); err != nil {
+			return false, err
+		}
+	}
+	if f == nil {
+		return false, nil
 	}
 	c.Advance(p.cfg.DRAM.Cost(len(f.data)))
-	out := make([]byte, len(f.data))
-	copy(out, f.data)
+	return hit, fn(f.data)
+}
+
+// copyInto returns a View/Lookup callback that copies the page out.
+func copyInto(out *[]byte) func([]byte) error {
+	return func(data []byte) error {
+		*out = append([]byte(nil), data...)
+		return nil
+	}
+}
+
+// Get returns a copy of the page bytes, fetching on miss.
+func (p *Pool) Get(c *sim.Clock, id page.ID) ([]byte, error) {
+	var out []byte
+	if _, err := p.access(c, id, false, true, copyInto(&out)); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
-// Peek returns a copy of the page bytes if a fresh copy is cached. A miss
-// (absent, or stale under the coherence directory) has no fetch side
-// effects and is counted as a probe, not a demand miss.
+// Peek returns a copy of the page bytes if a fresh copy is cached; it is
+// View with a copying callback.
 func (p *Pool) Peek(c *sim.Clock, id page.ID) ([]byte, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f, _ := p.locked(c, id, false)
-	if f == nil {
-		return nil, false
-	}
-	c.Advance(p.cfg.DRAM.Cost(len(f.data)))
-	out := make([]byte, len(f.data))
-	copy(out, f.data)
-	return out, true
+	var out []byte
+	ok, _ := p.View(c, id, copyInto(&out))
+	return out, ok
 }
 
 // Contains reports whether the page is cached (no fetch, no LRU effect on
@@ -274,20 +311,36 @@ func (p *Pool) Mutate(c *sim.Clock, id page.ID, fn func(data []byte) error) erro
 // Install inserts page bytes directly (e.g. a freshly created page),
 // marking it dirty if requested.
 func (p *Pool) Install(c *sim.Clock, id page.ID, data []byte, dirty bool) error {
+	return p.install(c, id, data, dirty, false)
+}
+
+// fill caches clean page bytes read from a lower tier on a miss. A frame
+// cached since the miss — by a concurrent miss, or by a writer that pulled
+// the page and mutated it — is kept unless the read bytes carry a newer
+// stamp: replacing it would silently drop the writer's update.
+func (p *Pool) fill(c *sim.Clock, id page.ID, data []byte) error {
+	return p.install(c, id, data, false, true)
+}
+
+func (p *Pool) install(c *sim.Clock, id page.ID, data []byte, dirty, keepNewer bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	stamp := p.installStamp(id, data)
 	if e, ok := p.frames[id]; ok {
 		f := e.Value.(*frame)
+		if keepNewer && stamp <= f.stamp {
+			return nil
+		}
 		f.data = data
 		f.dirty = f.dirty || dirty
-		f.stamp = p.installStamp(id, data)
+		f.stamp = stamp
 		p.lru.MoveToFront(e)
 		return nil
 	}
 	if err := p.evictIfFullLocked(c); err != nil {
 		return err
 	}
-	f := &frame{id: id, data: data, dirty: dirty, stamp: p.installStamp(id, data)}
+	f := &frame{id: id, data: data, dirty: dirty, stamp: stamp}
 	p.frames[id] = p.lru.PushFront(f)
 	if p.coh != nil {
 		p.coh.Note(id)
@@ -390,7 +443,19 @@ type remoteEntry struct {
 	// stamp is the commit stamp of the bytes last written to the frame.
 	stamp uint64
 	elem  *list.Element
+	// pins counts one-sided reads in flight from the frame and busy marks
+	// a write in flight to it: a busy entry is never served, and the frame
+	// is not reused while either is set.
+	pins int
+	busy bool
+	// dropped marks an entry unmapped while in use; its frame returns to
+	// the free list when the last user lets go.
+	dropped bool
 }
+
+// ErrNoFrame is returned by RemotePool.Put when every frame is in use by
+// an in-flight transfer.
+var ErrNoFrame = errors.New("buffer: every remote frame is in use")
 
 // NewRemotePool carves capacity page frames out of the node's registered
 // memory starting at base.
@@ -444,101 +509,137 @@ func (r *RemotePool) Contains(id page.ID) bool {
 	return ok
 }
 
-// dropLocked unmaps an entry and returns its frame to the free list.
+// dropLocked unmaps an entry; its frame is freed once no transfer uses it.
 func (r *RemotePool) dropLocked(id page.ID, e *remoteEntry) {
 	r.lru.Remove(e.elem)
 	delete(r.index, id)
-	r.free = append(r.free, e.addr)
+	e.dropped = true
+	r.releaseLocked(e)
 	if r.coh != nil {
 		r.coh.Forget(id)
 	}
 }
 
-// Get reads the page into buf via one-sided RDMA. Returns false on miss —
-// including a coherence miss, where the resident copy's stamp trails the
-// directory version and the entry is dropped instead of served.
-func (r *RemotePool) Get(c *sim.Clock, id page.ID, buf []byte) (bool, error) {
+// releaseLocked returns a dropped entry's frame to the free list once no
+// read or write is in flight on it.
+func (r *RemotePool) releaseLocked(e *remoteEntry) {
+	if e.dropped && e.pins == 0 && !e.busy {
+		r.free = append(r.free, e.addr)
+	}
+}
+
+// frameLocked takes a free frame, or evicts the least recently used entry
+// with no transfer in flight. Evicted pages are simply dropped: the remote
+// pool caches pages that are durable elsewhere (storage tier), like
+// LegoBase's remote memory.
+func (r *RemotePool) frameLocked() (uint64, error) {
+	if n := len(r.free); n > 0 {
+		addr := r.free[n-1]
+		r.free = r.free[:n-1]
+		return addr, nil
+	}
+	for el := r.lru.Back(); el != nil; el = el.Prev() {
+		victim := el.Value.(page.ID)
+		ve := r.index[victim]
+		if ve.pins > 0 || ve.busy {
+			continue
+		}
+		r.lru.Remove(el)
+		delete(r.index, victim)
+		if r.coh != nil {
+			r.coh.Forget(victim)
+		}
+		return ve.addr, nil
+	}
+	return 0, ErrNoFrame
+}
+
+// Get reads the page into a new buffer via one-sided RDMA; a miss
+// allocates nothing. Returns false on miss — including a coherence miss,
+// where the resident copy's stamp trails the directory version and the
+// entry is dropped instead of served, and an entry whose bytes are still
+// being written. The frame is pinned for the read, so eviction cannot hand
+// it to another page while it is in flight.
+func (r *RemotePool) Get(c *sim.Clock, id page.ID) ([]byte, bool, error) {
 	r.mu.Lock()
 	e, ok := r.index[id]
-	var addr uint64
-	if ok {
-		if r.coh != nil && !r.coh.Validate(id, e.stamp) {
-			r.staleHits.Add(1)
-			r.dropLocked(id, e)
-			ok = false
-		} else {
-			r.lru.MoveToFront(e.elem)
-			addr = e.addr
-		}
+	if ok && e.busy {
+		ok = false
 	}
-	r.mu.Unlock()
+	if ok && r.coh != nil && !r.coh.Validate(id, e.stamp) {
+		r.staleHits.Add(1)
+		r.dropLocked(id, e)
+		ok = false
+	}
 	if !ok {
-		return false, nil
+		r.mu.Unlock()
+		return nil, false, nil
 	}
-	if err := r.qp.Read(c, addr, buf[:r.pageSize]); err != nil {
-		return false, err
+	r.lru.MoveToFront(e.elem)
+	e.pins++
+	r.mu.Unlock()
+	buf := make([]byte, r.pageSize)
+	err := r.qp.Read(c, e.addr, buf)
+	r.mu.Lock()
+	e.pins--
+	r.releaseLocked(e)
+	r.mu.Unlock()
+	if err != nil {
+		return nil, false, err
 	}
-	return true, nil
+	return buf, true, nil
 }
 
 // Put writes the page to remote memory, evicting the LRU page if needed.
-// Evicted pages are simply dropped: the remote pool caches pages that are
-// durable elsewhere (storage tier), like LegoBase's remote memory. The
-// entry is stamped from the page bytes, so demoting an old copy after a
-// newer commit published leaves the entry stale (caught on Get) rather
-// than masking the newer version.
+// The entry is stamped from the page bytes, so demoting an old copy after
+// a newer commit published leaves the entry stale (caught on Get) rather
+// than masking the newer version. Readers never see the frame mid-write:
+// the entry is busy until the write lands, and only then does it carry the
+// new bytes' stamp. A frame with reads in flight is never overwritten; the
+// page moves to a fresh frame instead.
 func (r *RemotePool) Put(c *sim.Clock, id page.ID, data []byte) error {
 	var stamp uint64
 	if r.stampOf != nil {
 		stamp = r.stampOf(data)
 	}
 	r.mu.Lock()
-	if e, ok := r.index[id]; ok {
+	e, ok := r.index[id]
+	if ok && (e.pins > 0 || e.busy) {
+		r.dropLocked(id, e)
+		ok = false
+	}
+	if ok {
 		r.lru.MoveToFront(e.elem)
-		if stamp > e.stamp {
-			e.stamp = stamp
-		}
-		addr := e.addr
-		r.mu.Unlock()
-		if err := r.qp.Write(c, addr, data[:r.pageSize]); err != nil {
-			// The frame now holds an old (or torn) version; drop the
-			// mapping so readers miss to the authoritative tier instead
-			// of reading stale bytes.
-			r.Drop(id)
+	} else {
+		addr, err := r.frameLocked()
+		if err != nil {
+			r.mu.Unlock()
 			return err
 		}
-		return nil
-	}
-	var addr uint64
-	if len(r.free) > 0 {
-		addr = r.free[len(r.free)-1]
-		r.free = r.free[:len(r.free)-1]
-	} else {
-		// Evict LRU.
-		back := r.lru.Back()
-		victim := back.Value.(page.ID)
-		ve := r.index[victim]
-		r.lru.Remove(back)
-		delete(r.index, victim)
+		e = &remoteEntry{addr: addr}
+		e.elem = r.lru.PushFront(id)
+		r.index[id] = e
 		if r.coh != nil {
-			r.coh.Forget(victim)
+			r.coh.Note(id)
 		}
-		addr = ve.addr
 	}
-	e := &remoteEntry{addr: addr, stamp: stamp}
-	e.elem = r.lru.PushFront(id)
-	r.index[id] = e
-	if r.coh != nil {
-		r.coh.Note(id)
-	}
+	e.busy = true
 	r.mu.Unlock()
-	if err := r.qp.Write(c, addr, data[:r.pageSize]); err != nil {
-		// The frame was never written: it still holds the evicted
-		// victim's bytes. Unmap it or reads would return the wrong page.
-		r.Drop(id)
-		return err
+	err := r.qp.Write(c, e.addr, data[:r.pageSize])
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e.busy = false
+	switch {
+	case e.dropped:
+		r.releaseLocked(e)
+	case err != nil:
+		// The frame holds an old, torn or evicted victim's bytes: unmap
+		// it so readers miss to the authoritative tier.
+		r.dropLocked(id, e)
+	default:
+		e.stamp = stamp
 	}
-	return nil
+	return err
 }
 
 // Drop removes a page from the remote pool (invalidation).
@@ -595,57 +696,62 @@ func (t *TwoTier) SetCoherence(d *coherence.Directory, name string, stampOf Stam
 	t.Remote.SetCoherence(d.Register(name+".remote", t.Remote), stampOf)
 }
 
-// Get returns the page bytes, trying local, then remote, then storage.
-// The local probe goes through Peek so a hit is atomic with validation
-// (the old Contains-then-Get pair raced invalidations between the two
-// lock acquisitions).
-func (t *TwoTier) Get(c *sim.Clock, id page.ID) ([]byte, error) {
-	if data, ok := t.Local.Peek(c, id); ok {
+// View runs fn on the page bytes, trying local, then remote, then
+// storage. A local hit runs fn under the local pool's lock on the frame
+// (the validated probe makes a hit atomic with validation); a page read
+// from the remote tier or storage is handed to fn before the local tier
+// installs it. fn must not modify or retain the bytes.
+func (t *TwoTier) View(c *sim.Clock, id page.ID, fn func(data []byte) error) error {
+	if ok, err := t.Local.View(c, id, fn); ok {
 		t.localHits.Add(1)
-		return data, nil
+		return err
 	}
-	buf := make([]byte, t.Remote.pageSize)
-	ok, err := t.Remote.Get(c, id, buf)
+	buf, ok, err := t.Remote.Get(c, id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ok {
 		t.remoteHits.Add(1)
-		if err := t.Local.Install(c, id, buf, false); err != nil {
-			return nil, err
+	} else {
+		t.storage.Add(1)
+		if buf, err = t.fetch(c, id); err != nil {
+			return err
 		}
-		out := make([]byte, len(buf))
-		copy(out, buf)
-		return out, nil
+		if err := t.Remote.Put(c, id, buf); err != nil {
+			return err
+		}
 	}
-	t.storage.Add(1)
-	data, err := t.fetch(c, id)
-	if err != nil {
+	ferr := fn(buf)
+	if err := t.Local.fill(c, id, buf); err != nil {
+		return err
+	}
+	return ferr
+}
+
+// Get returns a copy of the page bytes; it is View with a copying
+// callback.
+func (t *TwoTier) Get(c *sim.Clock, id page.ID) ([]byte, error) {
+	var out []byte
+	if err := t.View(c, id, copyInto(&out)); err != nil {
 		return nil, err
 	}
-	if err := t.Remote.Put(c, id, data); err != nil {
-		return nil, err
-	}
-	if err := t.Local.Install(c, id, data, false); err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(data))
-	copy(out, data)
 	return out, nil
 }
 
 // Mutate updates the page in the local tier (write path; demotion to the
 // remote tier happens on eviction, and durability is the engine's log).
 func (t *TwoTier) Mutate(c *sim.Clock, id page.ID, fn func(data []byte) error) error {
-	if _, ok := t.Local.Peek(c, id); !ok {
+	if ok, _ := t.Local.View(c, id, noView); !ok {
 		// Pull a fresh copy into the local tier first (a stale local
-		// frame was just dropped by the peek's validation).
-		if _, err := t.Get(c, id); err != nil {
+		// frame was just dropped by the probe's validation).
+		if err := t.View(c, id, noView); err != nil {
 			return err
 		}
 	}
 	return t.Local.Mutate(c, id, fn)
 }
+
+func noView([]byte) error { return nil }
 
 // TierStats reports (local hits, remote hits, storage fetches).
 func (t *TwoTier) TierStats() (local, remote, storage int64) {

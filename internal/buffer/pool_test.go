@@ -205,16 +205,14 @@ func TestRemotePoolPutGet(t *testing.T) {
 	if err := rp.Put(c, 5, data); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 256)
-	ok, err := rp.Get(c, 5, buf)
+	buf, ok, err := rp.Get(c, 5)
 	if err != nil || !ok {
 		t.Fatalf("get: %v %v", ok, err)
 	}
 	if !bytes.HasPrefix(buf, []byte("remote page")) {
 		t.Fatalf("got %q", buf[:12])
 	}
-	ok, _ = rp.Get(c, 99, buf)
-	if ok {
+	if buf, ok, _ = rp.Get(c, 99); ok || buf != nil {
 		t.Fatal("phantom page")
 	}
 }
@@ -227,8 +225,7 @@ func TestRemotePoolEvictsLRU(t *testing.T) {
 	rp.Put(c, 1, d)
 	rp.Put(c, 2, d)
 	// Touch 1 so 2 becomes LRU.
-	buf := make([]byte, 128)
-	rp.Get(c, 1, buf)
+	rp.Get(c, 1)
 	rp.Put(c, 3, d) // evicts 2
 	if rp.Contains(2) {
 		t.Fatal("LRU victim still resident")

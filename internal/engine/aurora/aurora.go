@@ -220,20 +220,7 @@ func (e *Engine) fetcherAt(minLSN func() wal.LSN) buffer.Fetcher {
 
 func (e *Engine) readKey(c *sim.Clock, pool *buffer.Pool) func(key uint64) ([]byte, error) {
 	return func(key uint64) ([]byte, error) {
-		id := e.layout.PageOf(key)
-		// Peek serves a validated hit atomically (the old Contains+Get
-		// pair raced invalidations between the two lock acquisitions, and
-		// miscounted a stale frame as a hit).
-		if data, ok := pool.Peek(c, id); ok {
-			e.stats.CacheHits.Add(1)
-			return e.layout.ReadValue(data, key)
-		}
-		e.stats.CacheMisses.Add(1)
-		data, err := pool.Get(c, id)
-		if err != nil {
-			return nil, err
-		}
-		return e.layout.ReadValue(data, key)
+		return engine.ReadCached(c, pool, e.layout, key, &e.stats)
 	}
 }
 

@@ -132,11 +132,12 @@ func (e *Engine) fetchFromStorage(c *sim.Clock, id page.ID) ([]byte, error) {
 
 func (e *Engine) readKey(c *sim.Clock) func(key uint64) ([]byte, error) {
 	return func(key uint64) ([]byte, error) {
-		data, err := e.Tiers.Get(c, e.layout.PageOf(key))
-		if err != nil {
-			return nil, err
-		}
-		return e.layout.ReadValue(data, key)
+		var val []byte
+		err := e.Tiers.View(c, e.layout.PageOf(key), func(data []byte) (err error) {
+			val, err = e.layout.ReadValue(data, key)
+			return err
+		})
+		return val, err
 	}
 }
 
@@ -213,7 +214,11 @@ func (e *Engine) Execute(c *sim.Clock, fn func(tx engine.Tx) error) error {
 	for _, k := range keys {
 		key := k
 		if err := e.Tiers.Mutate(c, e.layout.PageOf(k), func(data []byte) error {
-			return e.layout.WriteValue(data, key, writes[key], uint64(lastLSN))
+			// Commits on one page can apply out of LSN order. Never lower
+			// the page LSN: the redo guard in CheckpointRemote and Recover
+			// reads a lowered LSN as "older records missing" and re-applies
+			// them over newer values.
+			return e.layout.WriteValue(data, key, writes[key], max(uint64(lastLSN), page.Wrap(data).LSN()))
 		}); err != nil {
 			// A failed tier apply (e.g. an injected fault on the remote
 			// pull) leaves the commit durable in the log but unapplied to
@@ -392,7 +397,7 @@ func (e *Engine) Recover(c *sim.Clock) (time.Duration, error) {
 	from := e.remoteCkptLSN
 	e.mu.Unlock()
 	// Replay the short tail; pages come from remote memory on demand
-	// (charged as RDMA reads inside Tiers.Get). Replay (not Since) so a
+	// (charged as RDMA reads inside Tiers.View). Replay (not Since) so a
 	// horizon below the truncation floor fails loudly instead of redoing
 	// a partial prefix as if it were complete.
 	recs, err := e.log.Replay(from)

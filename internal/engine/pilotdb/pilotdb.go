@@ -198,20 +198,7 @@ func (e *Engine) fetchPage(c *sim.Clock, id page.ID) ([]byte, error) {
 
 func (e *Engine) readKey(c *sim.Clock) func(key uint64) ([]byte, error) {
 	return func(key uint64) ([]byte, error) {
-		id := e.layout.PageOf(key)
-		// The pool validates cached frames against the directory itself
-		// (replacing the old manual LSN check + Invalidate): Peek only
-		// serves a frame whose stamp is current.
-		if data, ok := e.pool.Peek(c, id); ok {
-			e.stats.CacheHits.Add(1)
-			return e.layout.ReadValue(data, key)
-		}
-		e.stats.CacheMisses.Add(1)
-		data, err := e.pool.Get(c, id)
-		if err != nil {
-			return nil, err
-		}
-		return e.layout.ReadValue(data, key)
+		return engine.ReadCached(c, e.pool, e.layout, key, &e.stats)
 	}
 }
 

@@ -220,19 +220,7 @@ func (e *Engine) shipPage(c *sim.Clock, id page.ID, data []byte) error {
 
 func (e *Engine) readKey(c *sim.Clock) func(key uint64) ([]byte, error) {
 	return func(key uint64) ([]byte, error) {
-		id := e.layout.PageOf(key)
-		// Peek serves a validated hit atomically (the old Contains+Get
-		// pair miscounted a stale frame as a hit).
-		if data, ok := e.pool.Peek(c, id); ok {
-			e.stats.CacheHits.Add(1)
-			return e.layout.ReadValue(data, key)
-		}
-		e.stats.CacheMisses.Add(1)
-		data, err := e.pool.Get(c, id)
-		if err != nil {
-			return nil, err
-		}
-		return e.layout.ReadValue(data, key)
+		return engine.ReadCached(c, e.pool, e.layout, key, &e.stats)
 	}
 }
 

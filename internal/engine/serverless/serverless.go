@@ -82,8 +82,8 @@ func New(cfg *sim.Config, layout heap.Layout, nodes, localPages, sharedPages int
 		layout:  layout,
 		Volume:  storagenode.NewAuroraVolume(cfg, layout),
 		MemNode: mn,
-		log:   wal.NewLog(),
-		locks: txn.NewLockTable(),
+		log:     wal.NewLog(),
+		locks:   txn.NewLockTable(),
 	}
 	e.dir = coherence.NewDirectory(cfg, "serverless.coherence", coherence.ModeBump)
 	e.dir.OnInvalidate = func(n int) { e.stats.Invalidations.Add(int64(n)) }
@@ -120,51 +120,61 @@ func (e *Engine) directoryLSN(c *sim.Clock, n *computeNode, id page.ID) wal.LSN 
 	return wal.LSN(e.dir.Version(id))
 }
 
-// getPage returns a current page image for the node: local cache if fresh,
-// else shared pool, else storage volume.
-func (e *Engine) getPage(c *sim.Clock, n *computeNode, id page.ID) ([]byte, error) {
+// viewPage runs fn on a current page image for the node: local cache if
+// fresh, else shared pool, else storage volume. The cache only serves a
+// frame whose stamp is current in the directory (replacing the old manual
+// page-LSN check + Invalidate, which miscounted a stale frame as a hit
+// before dropping it). A page read on a miss is handed to fn before the
+// node's cache takes it over. fn must not modify or retain the bytes.
+func (e *Engine) viewPage(c *sim.Clock, n *computeNode, id page.ID, fn func(data []byte) error) error {
 	want := e.directoryLSN(c, n, id)
-	// Peek only serves a frame whose stamp is current in the directory —
-	// it replaces the old manual page-LSN check + Invalidate (which
-	// miscounted a stale frame as a hit before dropping it).
-	if data, ok := n.cache.Peek(c, id); ok {
+	if ok, err := n.cache.View(c, id, fn); ok {
 		e.stats.CacheHits.Add(1)
-		return data, nil
+		return err
 	}
 	e.stats.CacheMisses.Add(1)
-	buf := make([]byte, e.layout.PageSize)
-	ok, err := e.Shared.Get(c, id, buf)
+	buf, ok, err := e.Shared.Get(c, id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ok {
 		e.stats.NetBytes.Add(int64(len(buf)))
 		e.stats.NetMsgs.Add(1)
-		n.cache.Install(c, id, append([]byte(nil), buf...), false)
-		return buf, nil
+	} else {
+		// Shared-pool miss: fetch from storage, populate the shared pool.
+		e.mu.Lock()
+		min := e.durableLSN
+		e.mu.Unlock()
+		buf, err = e.Volume.ReadPage(c, id, minForPage(min, want))
+		if err != nil {
+			// Injected drops can leave the same log hole on every replica;
+			// heal from the authoritative log and retry once.
+			e.Volume.Heal(sim.NewClock(), e.log)
+			buf, err = e.Volume.ReadPage(c, id, minForPage(min, want))
+		}
+		if err != nil {
+			return err
+		}
+		e.stats.StorageOps.Add(1)
+		e.stats.NetBytes.Add(int64(len(buf)))
+		e.stats.NetMsgs.Add(1)
+		if err := e.Shared.Put(c, id, buf); err != nil {
+			return err
+		}
 	}
-	// Shared-pool miss: fetch from storage, populate the shared pool.
-	e.mu.Lock()
-	min := e.durableLSN
-	e.mu.Unlock()
-	data, err := e.Volume.ReadPage(c, id, minForPage(min, want))
-	if err != nil {
-		// Injected drops can leave the same log hole on every replica;
-		// heal from the authoritative log and retry once.
-		e.Volume.Heal(sim.NewClock(), e.log)
-		data, err = e.Volume.ReadPage(c, id, minForPage(min, want))
-	}
-	if err != nil {
-		return nil, err
-	}
-	e.stats.StorageOps.Add(1)
-	e.stats.NetBytes.Add(int64(len(data)))
-	e.stats.NetMsgs.Add(1)
-	if err := e.Shared.Put(c, id, data); err != nil {
-		return nil, err
-	}
-	n.cache.Install(c, id, append([]byte(nil), data...), false)
-	return data, nil
+	ferr := fn(buf)
+	n.cache.Install(c, id, buf, false)
+	return ferr
+}
+
+// getPage returns a private copy of a current page image for the node.
+func (e *Engine) getPage(c *sim.Clock, n *computeNode, id page.ID) ([]byte, error) {
+	var out []byte
+	err := e.viewPage(c, n, id, func(data []byte) error {
+		out = append([]byte(nil), data...)
+		return nil
+	})
+	return out, err
 }
 
 // minForPage: the storage read must cover the page's directory LSN (it may
@@ -178,11 +188,12 @@ func minForPage(durable, want wal.LSN) wal.LSN {
 
 func (e *Engine) readKeyOn(c *sim.Clock, n *computeNode) func(key uint64) ([]byte, error) {
 	return func(key uint64) ([]byte, error) {
-		data, err := e.getPage(c, n, e.layout.PageOf(key))
-		if err != nil {
-			return nil, err
-		}
-		return e.layout.ReadValue(data, key)
+		var val []byte
+		err := e.viewPage(c, n, e.layout.PageOf(key), func(data []byte) (err error) {
+			val, err = e.layout.ReadValue(data, key)
+			return err
+		})
+		return val, err
 	}
 }
 

@@ -16,25 +16,44 @@ import (
 	"sync/atomic"
 )
 
+// Remote memory is allocated in chunks of chunkBytes on first write; a
+// region costs one pointer per chunk until it is touched. 64 KiB keeps the
+// table small (256 KiB of pointers for a 2 GiB region) and lets a page
+// transfer resolve its chunk once: an aligned 8 KiB page never straddles
+// two.
+const (
+	chunkShift = 16
+	chunkBytes = 1 << chunkShift
+	chunkWords = chunkBytes / 8
+)
+
+type chunk [chunkWords]uint64
+
 // Memory is a byte-addressable region with word (8-byte) atomicity — the
 // same guarantee RDMA NICs give. Bulk reads and writes are performed word
 // by word with atomic loads/stores: individual words are never torn, but a
 // multi-word transfer can interleave with concurrent writers, exactly like
 // a one-sided READ racing a remote writer. Higher layers (RACE, Sherman)
 // must — and do — handle that with versions and checksums.
+//
+// The region is sparse: a chunk is installed by the first write, Store64,
+// CAS64 or Add64 that touches it, and a never-written chunk reads as
+// zeroes without allocating.
 type Memory struct {
-	words []uint64
-	size  uint64
+	chunks []atomic.Pointer[chunk]
+	size   uint64
 }
 
-// NewMemory allocates a region of the given size in bytes (rounded up to a
-// whole number of words).
+// NewMemory reserves a region of the given size in bytes. No data memory
+// is allocated until the region is written.
 func NewMemory(size int) *Memory {
 	if size < 0 {
 		size = 0
 	}
-	nw := (size + 7) / 8
-	return &Memory{words: make([]uint64, nw), size: uint64(size)}
+	return &Memory{
+		chunks: make([]atomic.Pointer[chunk], (size+chunkBytes-1)/chunkBytes),
+		size:   uint64(size),
+	}
 }
 
 // Size reports the usable size in bytes.
@@ -58,22 +77,72 @@ func (m *Memory) check(addr uint64, n int) error {
 	return nil
 }
 
+// install returns chunk i, installing a zeroed one if it is absent. When
+// two writers race to install the same chunk the loser drops its copy.
+func (m *Memory) install(i uint64) *chunk {
+	var fresh *chunk
+	for {
+		if ch := m.chunks[i].Load(); ch != nil {
+			return ch
+		}
+		if fresh == nil {
+			fresh = new(chunk)
+		}
+		if m.chunks[i].CompareAndSwap(nil, fresh) {
+			return fresh
+		}
+	}
+}
+
+// wipe drops every chunk: the region reads as zeroes again.
+func (m *Memory) wipe() {
+	for i := range m.chunks {
+		m.chunks[i].Store(nil)
+	}
+}
+
 // Read copies len(p) bytes starting at addr into p.
 func (m *Memory) Read(addr uint64, p []byte) error {
 	if err := m.check(addr, len(p)); err != nil {
 		return err
 	}
-	i := 0
-	for i < len(p) {
-		w := (addr + uint64(i)) / 8
-		off := int((addr + uint64(i)) % 8)
-		v := atomic.LoadUint64(&m.words[w])
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		n := copy(p[i:], tmp[off:])
-		i += n
+	for len(p) > 0 {
+		off := int(addr & (chunkBytes - 1))
+		n := min(len(p), chunkBytes-off)
+		if ch := m.chunks[addr>>chunkShift].Load(); ch == nil {
+			clear(p[:n])
+		} else {
+			readChunk(ch, off, p[:n])
+		}
+		addr += uint64(n)
+		p = p[n:]
 	}
 	return nil
+}
+
+// readChunk copies len(p) bytes from byte offset off of ch.
+func readChunk(ch *chunk, off int, p []byte) {
+	w := off / 8
+	if b := off % 8; b != 0 {
+		v := atomic.LoadUint64(&ch[w]) >> (8 * b)
+		n := min(len(p), 8-b)
+		for i := 0; i < n; i++ {
+			p[i] = byte(v >> (8 * i))
+		}
+		p = p[n:]
+		w++
+	}
+	for len(p) >= 8 {
+		binary.LittleEndian.PutUint64(p, atomic.LoadUint64(&ch[w]))
+		p = p[8:]
+		w++
+	}
+	if len(p) > 0 {
+		v := atomic.LoadUint64(&ch[w])
+		for i := range p {
+			p[i] = byte(v >> (8 * i))
+		}
+	}
 }
 
 // Write copies p into the region starting at addr. Partial words at the
@@ -83,76 +152,104 @@ func (m *Memory) Write(addr uint64, p []byte) error {
 	if err := m.check(addr, len(p)); err != nil {
 		return err
 	}
-	i := 0
-	for i < len(p) {
-		pos := addr + uint64(i)
-		w := pos / 8
-		off := int(pos % 8)
-		n := 8 - off
-		if n > len(p)-i {
-			n = len(p) - i
-		}
-		if off == 0 && n == 8 {
-			atomic.StoreUint64(&m.words[w], binary.LittleEndian.Uint64(p[i:]))
-		} else {
-			for {
-				old := atomic.LoadUint64(&m.words[w])
-				var tmp [8]byte
-				binary.LittleEndian.PutUint64(tmp[:], old)
-				copy(tmp[off:off+n], p[i:i+n])
-				if atomic.CompareAndSwapUint64(&m.words[w], old, binary.LittleEndian.Uint64(tmp[:])) {
-					break
-				}
-			}
-		}
-		i += n
+	for len(p) > 0 {
+		off := int(addr & (chunkBytes - 1))
+		n := min(len(p), chunkBytes-off)
+		writeChunk(m.install(addr>>chunkShift), off, p[:n])
+		addr += uint64(n)
+		p = p[n:]
 	}
 	return nil
 }
 
-func (m *Memory) wordIndex(addr uint64) (int, error) {
+// writeChunk copies p into ch at byte offset off.
+func writeChunk(ch *chunk, off int, p []byte) {
+	w := off / 8
+	if b := off % 8; b != 0 {
+		n := min(len(p), 8-b)
+		mergeWord(&ch[w], b, p[:n])
+		p = p[n:]
+		w++
+	}
+	for len(p) >= 8 {
+		atomic.StoreUint64(&ch[w], binary.LittleEndian.Uint64(p))
+		p = p[8:]
+		w++
+	}
+	if len(p) > 0 {
+		mergeWord(&ch[w], 0, p)
+	}
+}
+
+// mergeWord CAS-merges the bytes p (fewer than 8) into the word at byte
+// offset off, leaving the word's other bytes as they are.
+func mergeWord(word *uint64, off int, p []byte) {
+	var v uint64
+	for i, c := range p {
+		v |= uint64(c) << (8 * (off + i))
+	}
+	mask := (uint64(1)<<(8*len(p)) - 1) << (8 * off)
+	for {
+		old := atomic.LoadUint64(word)
+		if atomic.CompareAndSwapUint64(word, old, old&^mask|v) {
+			return
+		}
+	}
+}
+
+// word returns the word at addr (8-byte aligned), installing its chunk if
+// install is set; otherwise it returns nil for a never-written chunk.
+func (m *Memory) word(addr uint64, install bool) (*uint64, error) {
 	if addr%8 != 0 {
-		return 0, fmt.Errorf("rdma: atomic op at unaligned address %d", addr)
+		return nil, fmt.Errorf("rdma: atomic op at unaligned address %d", addr)
 	}
 	if err := m.check(addr, 8); err != nil {
-		return 0, err
+		return nil, err
 	}
-	return int(addr / 8), nil
+	i := addr >> chunkShift
+	ch := m.chunks[i].Load()
+	if ch == nil {
+		if !install {
+			return nil, nil
+		}
+		ch = m.install(i)
+	}
+	return &ch[(addr&(chunkBytes-1))/8], nil
 }
 
 // Load64 atomically loads the word at addr (8-byte aligned).
 func (m *Memory) Load64(addr uint64) (uint64, error) {
-	i, err := m.wordIndex(addr)
-	if err != nil {
+	w, err := m.word(addr, false)
+	if w == nil {
 		return 0, err
 	}
-	return atomic.LoadUint64(&m.words[i]), nil
+	return atomic.LoadUint64(w), nil
 }
 
 // Store64 atomically stores v at addr (8-byte aligned).
 func (m *Memory) Store64(addr uint64, v uint64) error {
-	i, err := m.wordIndex(addr)
+	w, err := m.word(addr, true)
 	if err != nil {
 		return err
 	}
-	atomic.StoreUint64(&m.words[i], v)
+	atomic.StoreUint64(w, v)
 	return nil
 }
 
 // CAS64 atomically compares-and-swaps the word at addr.
 func (m *Memory) CAS64(addr uint64, old, new uint64) (bool, error) {
-	i, err := m.wordIndex(addr)
+	w, err := m.word(addr, true)
 	if err != nil {
 		return false, err
 	}
-	return atomic.CompareAndSwapUint64(&m.words[i], old, new), nil
+	return atomic.CompareAndSwapUint64(w, old, new), nil
 }
 
 // Add64 atomically adds delta to the word at addr, returning the new value.
 func (m *Memory) Add64(addr uint64, delta uint64) (uint64, error) {
-	i, err := m.wordIndex(addr)
+	w, err := m.word(addr, true)
 	if err != nil {
 		return 0, err
 	}
-	return atomic.AddUint64(&m.words[i], delta), nil
+	return atomic.AddUint64(w, delta), nil
 }

@@ -79,9 +79,7 @@ func (n *Node) handler(name string) (Handler, error) {
 func (n *Node) Fail() {
 	n.failed.Store(true)
 	if !n.PM {
-		for i := range n.Mem.words {
-			atomic.StoreUint64(&n.Mem.words[i], 0)
-		}
+		n.Mem.wipe()
 	}
 }
 

@@ -213,7 +213,10 @@ func (q *QP) post(c *sim.Clock, site string, verbs []Verb) error {
 		}
 	}
 	op.End(moved)
-	return nil
+	// A node that crashed while the doorbell was in flight completes it
+	// with an error: a DRAM node's wipe may have raced the transfer, so
+	// the bytes read are not the node's data.
+	return q.alive()
 }
 
 // PostN posts verbs as one doorbell-batched submission with a single
@@ -353,6 +356,10 @@ func (q *QP) Call(c *sim.Clock, name string, req []byte) ([]byte, error) {
 	m := sim.LatencyModel{BytesPerSec: q.cfg.RDMARPC.BytesPerSec}
 	c.Advance(m.Cost(len(resp)))
 	op.End(int64(len(req) + len(resp)))
+	if err := q.alive(); err != nil {
+		// The node crashed while the handler ran (see post).
+		return nil, err
+	}
 	return resp, nil
 }
 

@@ -335,6 +335,73 @@ func TestNodeFailureSemantics(t *testing.T) {
 	if !bytes.Equal(got, []byte{9, 9, 9, 9, 9, 9, 9, 9}) {
 		t.Fatalf("PM lost persisted data across crash: %v", got)
 	}
+
+	// Data spread over several chunks, the last one partial: a DRAM crash
+	// wipes every chunk, a PM crash keeps every chunk.
+	const size = 3*chunkBytes + 100
+	addrs := []uint64{8, chunkBytes - 3, 2*chunkBytes + 64, size - 8}
+	for _, isPM := range []bool{false, true} {
+		var n *Node
+		if isPM {
+			n = NewPMNode(cfg, "pm-multi", size)
+		} else {
+			n = NewNode(cfg, "dram-multi", size)
+		}
+		q := Connect(cfg, n, nil)
+		for i, a := range addrs {
+			if err := q.WritePersist(c, a, bytes.Repeat([]byte{byte(i + 1)}, 8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Fail()
+		n.Restart()
+		for i, a := range addrs {
+			q.Read(c, a, got)
+			want := make([]byte, 8)
+			if isPM {
+				want = bytes.Repeat([]byte{byte(i + 1)}, 8)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("pm=%v: bytes at %d after crash = %v, want %v", isPM, a, got, want)
+			}
+		}
+		if isPM && n.Mem.installed() != 4 {
+			t.Fatalf("PM kept %d chunks, want 4", n.Mem.installed())
+		}
+		if !isPM && n.Mem.installed() != 0 {
+			t.Fatalf("DRAM crash left %d chunks installed", n.Mem.installed())
+		}
+	}
+}
+
+// failOnAdmit crashes node when a verb passes the admission gate, i.e.
+// after the verb's liveness check and before its transfer.
+type failOnAdmit struct{ node *Node }
+
+func (f failOnAdmit) Admit(*sim.Clock, string, *sim.Meter) error {
+	f.node.Fail()
+	return nil
+}
+
+// A DRAM node that crashes while a verb is in flight completes it with
+// ErrNodeFailed: the wipe may have raced the transfer, so the bytes read
+// must not be returned as the node's data.
+func TestNodeFailureDuringVerbFailsIt(t *testing.T) {
+	cfg, n := newTestNode(false)
+	c := sim.NewClock()
+	qp := Connect(cfg, n, nil)
+	if err := qp.Write(c, 0, []byte("payload!")); err != nil {
+		t.Fatal(err)
+	}
+	n.Handle("peek", func(*sim.Clock, []byte) []byte { return []byte("x") })
+	cfg.Admission = failOnAdmit{n}
+	if err := qp.Read(c, 0, make([]byte, 8)); err != ErrNodeFailed {
+		t.Fatalf("read across a crash: %v, want ErrNodeFailed", err)
+	}
+	n.Restart()
+	if _, err := qp.Call(c, "peek", nil); err != ErrNodeFailed {
+		t.Fatalf("call across a crash: %v, want ErrNodeFailed", err)
+	}
 }
 
 func TestConcurrentQPsContendOnNIC(t *testing.T) {
