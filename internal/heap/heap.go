@@ -67,16 +67,16 @@ func (l Layout) DecodeRecord(cell []byte) (uint64, []byte, error) {
 
 // FormatPage builds a fully populated page for the given page ID: every
 // slot holds a zero-value record for its key. Engines use this to
-// pre-materialize tables.
+// pre-materialize tables. The page is written in one pass, with the bytes
+// of inserting the records in slot order.
 func (l Layout) FormatPage(id page.ID) *page.Page {
-	p := page.New(l.PageSize)
 	base := uint64(id) * uint64(l.PerPage)
-	zero := make([]byte, l.ValSize)
-	for s := 0; s < l.PerPage; s++ {
-		if _, err := p.Insert(l.EncodeRecord(base+uint64(s), zero)); err != nil {
-			// Layout guarantees fit; a failure here is a bug.
-			panic(fmt.Sprintf("heap: FormatPage overflow: %v", err))
-		}
+	p, err := page.NewFixed(l.PageSize, l.PerPage, recordOverhead+l.ValSize, func(slot int, cell []byte) {
+		binary.LittleEndian.PutUint64(cell, base+uint64(slot))
+	})
+	if err != nil {
+		// Layout guarantees fit; a failure here is a bug.
+		panic(fmt.Sprintf("heap: FormatPage overflow: %v", err))
 	}
 	return p
 }
@@ -101,10 +101,17 @@ func (l Layout) ReadValue(data []byte, key uint64) ([]byte, error) {
 }
 
 // WriteValue updates the value for key in the page bytes in place and
-// stamps the page LSN.
+// stamps the page LSN. A slot holding a fixed-size cell (every slot of a
+// formatted page) is overwritten without allocating; any other slot goes
+// through page.Update, with its errors.
 func (l Layout) WriteValue(data []byte, key uint64, val []byte, lsn uint64) error {
 	p := page.Wrap(data)
-	if err := p.Update(l.SlotOf(key), l.EncodeRecord(key, val)); err != nil {
+	slot := l.SlotOf(key)
+	if cell, err := p.Cell(slot); err == nil && len(cell) == recordOverhead+l.ValSize {
+		binary.LittleEndian.PutUint64(cell, key)
+		v := cell[recordOverhead:]
+		clear(v[copy(v, val):])
+	} else if err := p.Update(slot, l.EncodeRecord(key, val)); err != nil {
 		return err
 	}
 	if lsn > 0 {

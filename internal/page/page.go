@@ -135,6 +135,34 @@ func (p *Page) Insert(cell []byte) (int, error) {
 	return slot, nil
 }
 
+// NewFixed builds a page of the given size holding n cells of cellSize
+// bytes each, byte for byte as n Inserts of such cells into New(size)
+// would leave it: slot i points at the cell ending where cell i-1 begins,
+// the first ending at the page's end. fill writes each cell's contents,
+// in slot order, into zeroed bytes. The errors are those the Inserts
+// would return.
+func NewFixed(size, n, cellSize int, fill func(slot int, cell []byte)) (*Page, error) {
+	p := New(size)
+	if n <= 0 {
+		return p, nil
+	}
+	if cellSize >= deletedMark {
+		return nil, ErrCellTooBig
+	}
+	free := int(p.freeOff())
+	if headerSize+n*(slotSize+cellSize) > free {
+		return nil, ErrPageFull
+	}
+	for i := 0; i < n; i++ {
+		off := free - (i+1)*cellSize
+		p.setSlot(i, uint16(off), uint16(cellSize))
+		fill(i, p.buf[off:off+cellSize])
+	}
+	p.setNumSlots(n)
+	p.setFreeOff(uint16(free - n*cellSize))
+	return p, nil
+}
+
 // Cell returns the cell stored in the given slot. The returned slice
 // aliases the page buffer; callers must copy before retaining it.
 func (p *Page) Cell(slot int) ([]byte, error) {

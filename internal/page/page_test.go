@@ -267,3 +267,34 @@ func TestCellTooBig(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCellTooBig", err)
 	}
 }
+
+// TestNewFixedMatchesInserts builds pages with NewFixed and with one
+// Insert per cell, and requires the same bytes, or the error the first
+// failing Insert returns.
+func TestNewFixedMatchesInserts(t *testing.T) {
+	cases := []struct{ size, n, cell int }{
+		{64, 1, 9}, {64, 2, 20}, {64, 3, 20}, {128, 5, 16}, {4096, 100, 36},
+		{8192, 73, 104}, {8192, 74, 104}, {16384, 3, 5000}, {4, 10, 8},
+		{1024, 0, 8}, {1024, 1, 0xFFFF},
+	}
+	for _, tc := range cases {
+		fill := func(slot int, cell []byte) {
+			for i := range cell {
+				cell[i] = byte(slot*31 + i)
+			}
+		}
+		got, gotErr := NewFixed(tc.size, tc.n, tc.cell, fill)
+		want, wantErr := New(tc.size), error(nil)
+		for s := 0; s < tc.n && wantErr == nil; s++ {
+			cell := make([]byte, tc.cell)
+			fill(s, cell)
+			_, wantErr = want.Insert(cell)
+		}
+		if gotErr != wantErr {
+			t.Fatalf("%+v: error %v, Inserts %v", tc, gotErr, wantErr)
+		}
+		if wantErr == nil && !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%+v: NewFixed bytes differ from the Inserts", tc)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -205,13 +206,7 @@ func (l *Log) Len() int {
 func (l *Log) Since(after LSN) []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []Record
-	for _, r := range l.records {
-		if r.LSN > after {
-			out = append(out, r)
-		}
-	}
-	return out
+	return l.tailLocked(after)
 }
 
 // Replay returns all records with LSN > after, failing with ErrTruncated
@@ -224,13 +219,21 @@ func (l *Log) Replay(after LSN) ([]Record, error) {
 	if after+1 < l.floor {
 		return nil, fmt.Errorf("%w: replay from %d, floor %d", ErrTruncated, after, l.floor)
 	}
-	var out []Record
-	for _, r := range l.records {
-		if r.LSN > after {
-			out = append(out, r)
-		}
+	return l.tailLocked(after), nil
+}
+
+// tailLocked copies the records with LSN > after (nil when there are
+// none). Append and TruncateBefore keep l.records sorted by LSN, so the
+// tail starts at a binary-searched index and is copied in one exact-size
+// allocation.
+func (l *Log) tailLocked(after LSN) []Record {
+	i := sort.Search(len(l.records), func(i int) bool { return l.records[i].LSN > after })
+	if i == len(l.records) {
+		return nil
 	}
-	return out, nil
+	out := make([]Record, len(l.records)-i)
+	copy(out, l.records[i:])
+	return out
 }
 
 // Floor reports the lowest LSN guaranteed retained (1 when nothing has
